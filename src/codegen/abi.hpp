@@ -77,6 +77,12 @@ struct NolCtx {
                             NolVal *args, uint32_t n);
     void (*machine_asm)(NolCtx *, uint32_t site);
     void (*trap)(NolCtx *, uint32_t kind, uint32_t fn_id); ///< [[noreturn]]
+    /** Profiling flavour only: entering (1) or leaving (0) a call of
+     *  function @p fn_id, with every earlier charge already flushed. */
+    void (*observe_call)(NolCtx *, uint32_t fn_id, uint32_t entering);
+    /** Profiling flavour only: control takes edge @p site (an index
+     *  into LoweredModule::edgeSites), charges flushed. */
+    void (*observe_edge)(NolCtx *, uint32_t site);
 };
 
 static_assert(sizeof(NolVal) == 16, "NolVal must match RtVal layout");

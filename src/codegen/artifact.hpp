@@ -2,13 +2,14 @@
  * @file
  * Content-addressed native-artifact cache: a lowered module's C source
  * is compiled once per digest with the host toolchain and dlopen'd;
- * fleet sessions sharing a partition reuse the same artifact both
- * in-process (shared_ptr registry) and across processes (on-disk
- * cache keyed by digest, populated with atomic renames).
+ * every holder of the same digest shares one loaded artifact while any
+ * holds it (in-process registry), and processes share the on-disk
+ * cache keyed by digest, populated with atomic renames.
  */
 #ifndef NOL_CODEGEN_ARTIFACT_HPP
 #define NOL_CODEGEN_ARTIFACT_HPP
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -31,7 +32,7 @@ class NativeArtifact
 
   private:
     friend std::shared_ptr<const NativeArtifact>
-    getOrCompile(const LoweredModule &lowered);
+    getOrCompile(const LoweredModule &lowered, std::string *error);
 
     NativeArtifact() = default;
 
@@ -41,19 +42,26 @@ class NativeArtifact
 };
 
 /**
- * Compile (or fetch) the artifact for @p lowered. Returns nullptr when
- * no working host toolchain is available — callers fall back to the
- * interpreter. Thread-safe and safe against concurrent processes
- * sharing the cache directory.
+ * Fetch (or compile) the artifact for @p lowered: the in-process
+ * registry first, then the on-disk cache, and only on a miss of both
+ * the host compiler (probed on first need). Returns nullptr when no
+ * artifact can be produced — no usable compiler, an unwritable cache
+ * directory, a failing or hung compiler (killed after a bounded wait)
+ * — and then describes why in @p error, with the compiler's stderr
+ * when it ran. Callers fall back to the interpreter. Thread-safe and
+ * safe against concurrent processes sharing the cache directory.
  */
 std::shared_ptr<const NativeArtifact>
-getOrCompile(const LoweredModule &lowered);
+getOrCompile(const LoweredModule &lowered, std::string *error = nullptr);
 
 /** True if a host C compiler usable for artifacts was found. */
 bool toolchainAvailable();
 
 /** Cache directory ($NOL_CODEGEN_DIR, default ./.nol-codegen). */
 std::string artifactCacheDir();
+
+/** Host compiler processes this process has started (probes included). */
+uint64_t compilerSpawns();
 
 } // namespace nol::codegen
 

@@ -53,6 +53,8 @@ typedef struct NolCtx {
                             uint32_t);
     void (*machine_asm)(struct NolCtx *, uint32_t);
     void (*trap)(struct NolCtx *, uint32_t, uint32_t);
+    void (*observe_call)(struct NolCtx *, uint32_t, uint32_t);
+    void (*observe_edge)(struct NolCtx *, uint32_t);
 } NolCtx;
 
 static uint64_t nol_mask(uint32_t bits) {
@@ -111,9 +113,11 @@ struct Charge {
 class Emitter
 {
   public:
-    Emitter(const ir::Module &module, const ir::DataLayout &dl)
-        : m_(module), dl_(dl)
+    Emitter(const ir::Module &module, const ir::DataLayout &dl,
+            EmitFlavour flavour)
+        : m_(module), dl_(dl), profiling_(flavour == EmitFlavour::Profile)
     {
+        lowered_.flavour = flavour;
     }
 
     LoweredModule run();
@@ -121,6 +125,34 @@ class Emitter
   private:
     void emitFunction(const ir::Function *fn, size_t fn_id);
     void emitInst(const ir::Instruction *inst, size_t fn_id);
+
+    /**
+     * The C statement that transfers control from the current block to
+     * @p to. In the Profile flavour an edge the profiler can act on —
+     * into a loop exit block, or preheader → header — first reports
+     * itself through observe_edge (charges are already flushed: every
+     * terminator flushes before branching).
+     */
+    std::string jumpTo(const ir::BasicBlock *to)
+    {
+        std::string jump = "goto L" + std::to_string(blockIdx_.at(to)) + ";";
+        if (!profiling_ || !observedEdge(to))
+            return jump;
+        size_t site = lowered_.edgeSites.size();
+        lowered_.edgeSites.push_back({curFn_, curBlock_, to});
+        return "{ ctx->observe_edge(ctx, " + std::to_string(site) + "); " +
+               jump + " }";
+    }
+
+    bool observedEdge(const ir::BasicBlock *to) const
+    {
+        for (const ir::LoopMeta &loop : curFn_->loops()) {
+            if (loop.exit == to ||
+                (loop.header == to && loop.preheader == curBlock_))
+                return true;
+        }
+        return false;
+    }
 
     /** Queue the cost-model charge for one execution of @p inst. */
     void pushCharge(const ir::Instruction *inst)
@@ -206,6 +238,7 @@ class Emitter
 
     const ir::Module &m_;
     const ir::DataLayout &dl_;
+    const bool profiling_;
     std::string out_;
     LoweredModule lowered_;
     std::unordered_map<const ir::GlobalVariable *, size_t> globalIdx_;
@@ -216,6 +249,8 @@ class Emitter
     std::unordered_map<const ir::Instruction *, size_t> allocaIdx_;
     std::unordered_map<const ir::BasicBlock *, size_t> blockIdx_;
     std::vector<Charge> pending_;
+    const ir::Function *curFn_ = nullptr;
+    const ir::BasicBlock *curBlock_ = nullptr;
 };
 
 void
@@ -307,7 +342,9 @@ Emitter::exprWhole(const ir::Value *v)
 LoweredModule
 Emitter::run()
 {
-    out_ = kAbiPreamble;
+    out_ = profiling_ ? "/* nol flavour: profile */\n"
+                      : "/* nol flavour: run */\n";
+    out_ += kAbiPreamble;
     for (const auto &g : m_.globals()) {
         globalIdx_[g.get()] = lowered_.globals.size();
         lowered_.globals.push_back(g.get());
@@ -384,8 +421,12 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
         line("  uint64_t s%zu = 0; int s%zu_live = 0;", i, i);
     for (size_t i = 0; i < n_vals; ++i)
         line("  (void)v%zu;", i);
+    if (profiling_)
+        line("  ctx->observe_call(ctx, %zu, 1);", fn_id);
 
+    curFn_ = fn;
     for (const auto &bb : fn->blocks()) {
+        curBlock_ = bb.get();
         line("L%zu:;", blockIdx_.at(bb.get()));
         for (size_t i = 0; i < bb->size(); ++i)
             emitInst(bb->inst(i), fn_id);
@@ -799,27 +840,29 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
       }
       case Opcode::Br:
         flushCharges(fn_id);
-        line("  goto L%zu;", blockIdx_.at(inst->successor(0)));
+        line("  %s", jumpTo(inst->successor(0)).c_str());
         break;
       case Opcode::CondBr:
         flushCharges(fn_id);
-        line("  if ((%s) != 0) goto L%zu; else goto L%zu;",
+        line("  if ((%s) != 0) %s else %s",
              exprI(inst->operand(0)).c_str(),
-             blockIdx_.at(inst->successor(0)),
-             blockIdx_.at(inst->successor(1)));
+             jumpTo(inst->successor(0)).c_str(),
+             jumpTo(inst->successor(1)).c_str());
         break;
       case Opcode::Switch: {
         flushCharges(fn_id);
         line("  { int64_t sw = %s;", exprI(inst->operand(0)).c_str());
         const auto &cases = inst->caseValues();
         for (size_t c = 0; c < cases.size(); ++c)
-            line("    if (sw == %s) goto L%zu;", intLit(cases[c]).c_str(),
-                 blockIdx_.at(inst->successor(c + 1)));
-        line("    goto L%zu; }", blockIdx_.at(inst->successor(0)));
+            line("    if (sw == %s) %s", intLit(cases[c]).c_str(),
+                 jumpTo(inst->successor(c + 1)).c_str());
+        line("    %s }", jumpTo(inst->successor(0)).c_str());
         break;
       }
       case Opcode::Ret:
         flushCharges(fn_id);
+        if (profiling_)
+            line("  ctx->observe_call(ctx, %zu, 0);", fn_id);
         line("  ctx->sp = saved_sp;");
         if (inst->numOperands() == 1)
             line("  return %s;", exprWhole(inst->operand(0)).c_str());
@@ -850,9 +893,10 @@ contentDigest(const std::string &text)
 }
 
 LoweredModule
-emitModule(const ir::Module &module, const ir::DataLayout &dl)
+emitModule(const ir::Module &module, const ir::DataLayout &dl,
+           EmitFlavour flavour)
 {
-    return Emitter(module, dl).run();
+    return Emitter(module, dl, flavour).run();
 }
 
 } // namespace nol::codegen

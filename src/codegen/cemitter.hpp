@@ -18,9 +18,31 @@
 
 namespace nol::codegen {
 
+/** Which kind of artifact a module is lowered to. */
+enum class EmitFlavour {
+    /** Plain execution: what sessions run. */
+    Run,
+    /**
+     * Execution that also reports control flow to an ExecObserver:
+     * function entry and exit, preheader → header edges and edges into
+     * loop exit blocks, each after flushing the pending charges. What
+     * compile-time profiling runs.
+     */
+    Profile,
+};
+
+/** One observed control-flow edge of a Profile-flavour module. */
+struct EdgeSite {
+    const ir::Function *fn = nullptr;
+    const ir::BasicBlock *from = nullptr;
+    const ir::BasicBlock *to = nullptr;
+};
+
 /** A module lowered to C, plus the side tables the host needs. */
 struct LoweredModule {
-    /** The complete C translation unit. */
+    /** The complete C translation unit (its first line names the
+     *  flavour, so the flavour is part of the digest). Emptied by
+     *  PreparedModule::prepare once the artifact is loaded. */
     std::string source;
     /** Content digest of source + compile flags (artifact cache key). */
     std::string digest;
@@ -34,10 +56,14 @@ struct LoweredModule {
     /** Module functions in emission order (fn table index space;
      *  externals occupy a NULL slot in the generated table). */
     std::vector<const ir::Function *> functions;
+    /** Observed edges in emission order (Profile flavour only). */
+    std::vector<EdgeSite> edgeSites;
+    EmitFlavour flavour = EmitFlavour::Run;
 };
 
 /** Lower @p module under effective ABI @p dl. Deterministic. */
-LoweredModule emitModule(const ir::Module &module, const ir::DataLayout &dl);
+LoweredModule emitModule(const ir::Module &module, const ir::DataLayout &dl,
+                         EmitFlavour flavour = EmitFlavour::Run);
 
 /** FNV-1a-64 hex digest helper (exposed for tests). */
 std::string contentDigest(const std::string &text);

@@ -10,17 +10,63 @@ namespace nol::codegen {
 using interp::RtVal;
 
 std::shared_ptr<const PreparedModule>
-PreparedModule::prepare(const ir::Module &module, const ir::DataLayout &dl)
+PreparedModule::prepare(const ir::Module &module, const ir::DataLayout &dl,
+                        EmitFlavour flavour, std::string *error)
 {
     auto prepared = std::make_shared<PreparedModule>();
-    prepared->lowered = emitModule(module, dl);
-    prepared->artifact = getOrCompile(prepared->lowered);
+    prepared->lowered = emitModule(module, dl, flavour);
+    prepared->artifact = getOrCompile(prepared->lowered, error);
     if (prepared->artifact == nullptr)
         return nullptr;
     NOL_ASSERT(prepared->artifact->count() ==
                    prepared->lowered.functions.size(),
                "artifact function table size mismatch");
+    // Execution needs only the side tables: a program-lifetime
+    // artifact must not keep its C text alive.
+    std::string().swap(prepared->lowered.source);
     return prepared;
+}
+
+std::shared_ptr<const PreparedModule>
+PreparedSlot::get(const ir::Module &module, const ir::DataLayout &dl,
+                  std::string *error)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!attempted_) {
+        prepared_ = PreparedModule::prepare(module, dl, EmitFlavour::Run,
+                                            &error_);
+        module_ = &module;
+        attempted_ = true;
+    }
+    NOL_ASSERT(module_ == &module, "one PreparedSlot serves one module");
+    if (prepared_ == nullptr && error != nullptr)
+        *error = error_;
+    return prepared_;
+}
+
+std::shared_ptr<const PreparedModule>
+PreparedSlot::peek() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return prepared_;
+}
+
+void
+PreparedSlot::reset()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    attempted_ = false;
+    module_ = nullptr;
+    prepared_.reset();
+    error_.clear();
+}
+
+void
+ProgramArtifacts::reset()
+{
+    mobile.reset();
+    server.reset();
+    fallbackWarned = false;
 }
 
 NativeExec::NativeExec(std::shared_ptr<const PreparedModule> prepared,
@@ -60,6 +106,8 @@ NativeExec::NativeExec(std::shared_ptr<const PreparedModule> prepared,
     ctx_.call_indirect = &NativeExec::callIndirectThunk;
     ctx_.machine_asm = &NativeExec::machineAsmThunk;
     ctx_.trap = &NativeExec::trapThunk;
+    ctx_.observe_call = &NativeExec::observeCallThunk;
+    ctx_.observe_edge = &NativeExec::observeEdgeThunk;
 }
 
 const char *
@@ -77,6 +125,9 @@ NativeExec::call(ir::Function *fn, const std::vector<RtVal> &args)
     NolFn fn_ptr = prepared_->artifact->fns()[it->second];
     NOL_ASSERT(fn_ptr != nullptr, "call of external function %s through "
                "NativeExec", fn->name().c_str());
+    NOL_ASSERT(observer_ == nullptr ||
+                   prepared_->lowered.flavour == EmitFlavour::Profile,
+               "an observed NativeExec needs a profiling-flavour artifact");
 
     if (depth_ == 0) {
         try {
@@ -249,6 +300,26 @@ NativeExec::machineAsmThunk(NolCtx *ctx, uint32_t site)
     auto *self = static_cast<NativeExec *>(ctx->host);
     self->env_.onMachineAsm(*self,
                             *self->prepared_->lowered.asmSites[site]);
+}
+
+void
+NativeExec::observeCallThunk(NolCtx *ctx, uint32_t fn_id, uint32_t entering)
+{
+    auto *self = static_cast<NativeExec *>(ctx->host);
+    if (self->observer_ != nullptr) {
+        self->observer_->onCall(self->prepared_->lowered.functions[fn_id],
+                                entering != 0);
+    }
+}
+
+void
+NativeExec::observeEdgeThunk(NolCtx *ctx, uint32_t site)
+{
+    auto *self = static_cast<NativeExec *>(ctx->host);
+    if (self->observer_ != nullptr) {
+        const EdgeSite &edge = self->prepared_->lowered.edgeSites[site];
+        self->observer_->onBlockEntry(edge.fn, edge.to, edge.from);
+    }
 }
 
 void

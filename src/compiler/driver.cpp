@@ -98,6 +98,10 @@ repairOffloadSafety(CompiledProgram &prog,
     input.fieldSensitive = prog.unifyStats.fieldSensitive;
     analysis::RepairReport report =
         analysis::repairPartition(input, options);
+    // Repair rewrites the modules in place: artifacts prepared from
+    // them are stale.
+    if (prog.native != nullptr)
+        prog.native->reset();
 
     // Repair may have demoted targets; shrink the partition's list to
     // match so the runtime never dispatches a demoted target.

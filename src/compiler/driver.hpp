@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "analysis/repair.hpp"
+#include "codegen/nativeexec.hpp"
 #include "compiler/memunifier.hpp"
 #include "interp/backendkind.hpp"
 #include "compiler/partitioner.hpp"
@@ -35,8 +36,8 @@ struct CompileOptions {
      *  field-insensitive pipeline, kept as the differential oracle. */
     bool fieldSensitiveAnalysis = true;
     /** Preferred execution backend for sessions of this program.
-     *  Default resolves to the interpreter; a SystemConfig can
-     *  override per run. */
+     *  Default resolves to the native engine (interpreter when no
+     *  artifact can be prepared); a SystemConfig can override per run. */
     interp::BackendKind backend = interp::BackendKind::Default;
 
     CompileOptions();
@@ -55,6 +56,11 @@ struct CompiledProgram {
     arch::ArchSpec serverSpec;
     /** Backend preference carried from CompileOptions. */
     interp::BackendKind backend = interp::BackendKind::Default;
+    /** Native artifacts of the partition's two modules, prepared by
+     *  the first native session and bound by every later one. Anything
+     *  that mutates the partition must reset() them. */
+    std::shared_ptr<codegen::ProgramArtifacts> native =
+        std::make_shared<codegen::ProgramArtifacts>();
 
     /** Convenience: names of the selected targets. */
     std::vector<std::string> targetNames() const;

@@ -50,8 +50,8 @@ struct CompileRequest {
      *  the differential oracle for A/B precision studies. */
     bool fieldSensitiveAnalysis = true;
     /** Preferred execution backend for sessions of this program
-     *  (interp::BackendKind::NativeC compiles compute phases to native
-     *  code at session setup; Default resolves to the interpreter).
+     *  (see interp::resolveBackend: Default runs natively, with a quiet
+     *  interpreter fallback; Interpreter pins the reference engine).
      *  Any SystemConfig::backend other than Default overrides this at
      *  run time. */
     interp::BackendKind backend = interp::BackendKind::Default;

@@ -40,6 +40,16 @@ parseBackendKind(const char *name, BackendKind *out)
     return true;
 }
 
+BackendKind
+resolveBackend(BackendKind run, BackendKind program)
+{
+    if (run != BackendKind::Default)
+        return run;
+    if (program != BackendKind::Default)
+        return program;
+    return BackendKind::NativeC;
+}
+
 std::string
 ExecBackend::readCString(uint64_t addr)
 {

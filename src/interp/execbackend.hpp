@@ -50,6 +50,32 @@ class ExecEnv
 };
 
 /**
+ * Observes guest control flow (the profiler). Both engines call it with
+ * the simulated clock exact at every call: all charges of the
+ * instructions before the observed point are applied, none after.
+ */
+class ExecObserver
+{
+  public:
+    virtual ~ExecObserver() = default;
+
+    /** Entering (@p entering) or leaving a call of @p fn. */
+    virtual void onCall(const ir::Function *fn, bool entering) = 0;
+
+    /**
+     * Control reached block @p to of @p fn from @p from. The
+     * interpreter reports every block entry (@p from is nullptr at
+     * function entry); the native engine reports only the edges that
+     * can open or close a loop region: preheader → header edges and
+     * edges into loop exit blocks. An observer must therefore act on
+     * nothing else.
+     */
+    virtual void onBlockEntry(const ir::Function *fn,
+                              const ir::BasicBlock *to,
+                              const ir::BasicBlock *from) = 0;
+};
+
+/**
  * Executes IR functions on one simulated machine. Owns the shared
  * execution state (machine, module, image, effective ABI, step and
  * indirect-call accounting) so environments and the runtime can talk
@@ -80,6 +106,12 @@ class ExecBackend
 
     /** Abort execution after this many instructions (runaway guard). */
     void setStepLimit(uint64_t limit) { step_limit_ = limit; }
+
+    /**
+     * Report control flow to @p observer (nullptr: none). The native
+     * engine needs an artifact of the profiling flavour to report it.
+     */
+    void setObserver(ExecObserver *observer) { observer_ = observer; }
 
     // --- Accessors (used by ExecEnv implementations) ---------------------
     sim::SimMachine &machine() { return machine_; }
@@ -187,6 +219,7 @@ class ExecBackend
     uint64_t indirect_extra_cost_ = 0;
     uint64_t indirect_calls_ = 0;
     int depth_ = 0;
+    ExecObserver *observer_ = nullptr;
 };
 
 } // namespace nol::interp

@@ -118,8 +118,8 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
 
     ++depth_;
     uint64_t saved_sp = sp_;
-    if (hooks_.callBoundary)
-        hooks_.callBoundary(fn, true);
+    if (observer_ != nullptr)
+        observer_->onCall(fn, true);
 
     Frame frame;
     frame.fn = fn;
@@ -137,15 +137,15 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
         ~FrameGuard()
         {
             self->sp_ = saved_sp;
-            if (self->hooks_.callBoundary)
-                self->hooks_.callBoundary(fn, false);
+            if (self->observer_ != nullptr)
+                self->observer_->onCall(fn, false);
             --self->depth_;
         }
     } guard{this, saved_sp, fn};
 
     while (true) {
-        if (hooks_.blockEntry)
-            hooks_.blockEntry(fn, bb, prev);
+        if (observer_ != nullptr)
+            observer_->onBlockEntry(fn, bb, prev);
 
         const ir::BasicBlock *next = nullptr;
         for (size_t idx = 0; idx < bb->size(); ++idx) {
@@ -261,9 +261,11 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
                 uint64_t shift = ub & (width == 1 ? 0 : width - 1);
                 int64_t r = 0;
                 switch (inst->op()) {
-                  case Opcode::Add: r = a + b; break;
-                  case Opcode::Sub: r = a - b; break;
-                  case Opcode::Mul: r = a * b; break;
+                  // Wrap on uint64, where overflow is defined; the low
+                  // width bits that signExtend keeps are the guest's.
+                  case Opcode::Add: r = static_cast<int64_t>(ua + ub); break;
+                  case Opcode::Sub: r = static_cast<int64_t>(ua - ub); break;
+                  case Opcode::Mul: r = static_cast<int64_t>(ua * ub); break;
                   case Opcode::SDiv:
                     if (b == 0)
                         fatal("guest division by zero");

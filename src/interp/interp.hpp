@@ -12,7 +12,6 @@
 #ifndef NOL_INTERP_INTERP_HPP
 #define NOL_INTERP_INTERP_HPP
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,17 +21,6 @@
 #include "sim/simmachine.hpp"
 
 namespace nol::interp {
-
-/** Optional observation hooks (profiling; interpreter-only). */
-struct InterpHooks {
-    /** Entering @p to (from @p from; nullptr at function entry). */
-    std::function<void(const ir::Function *, const ir::BasicBlock *to,
-                       const ir::BasicBlock *from)>
-        blockEntry;
-
-    /** Function call boundary: @p entering true on entry. */
-    std::function<void(const ir::Function *, bool entering)> callBoundary;
-};
 
 /** Executes IR functions on one simulated machine, one at a time. */
 class Interp final : public ExecBackend
@@ -46,8 +34,6 @@ class Interp final : public ExecBackend
 
     BackendKind kind() const override { return BackendKind::Interpreter; }
 
-    InterpHooks &hooks() { return hooks_; }
-
   private:
     struct Frame;
 
@@ -56,7 +42,6 @@ class Interp final : public ExecBackend
     RtVal execCall(const ir::Instruction &inst, ir::Function *callee,
                    Frame &frame);
 
-    InterpHooks hooks_;
     uint64_t sp_;
 };
 

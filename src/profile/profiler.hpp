@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "interp/interp.hpp"
+#include "interp/backendkind.hpp"
 #include "ir/module.hpp"
 #include "sim/simmachine.hpp"
 
@@ -59,12 +59,18 @@ struct ProfileInput {
 /**
  * Profile @p module by executing @p entry on a fresh mobile machine
  * with @p input. The machine is constructed internally from @p spec so
- * profiling never disturbs evaluation machines.
+ * profiling never disturbs evaluation machines. It runs on the native
+ * engine (a profiling-flavour artifact) and falls back to the
+ * interpreter when none can be prepared; the result is bit-identical
+ * on either engine. @p engine = Interpreter pins the reference engine
+ * (the differential oracle).
  */
 ProfileResult profileModule(const ir::Module &module,
                             const arch::ArchSpec &spec,
                             const ProfileInput &input,
-                            const std::string &entry = "main");
+                            const std::string &entry = "main",
+                            interp::BackendKind engine =
+                                interp::BackendKind::Default);
 
 } // namespace nol::profile
 

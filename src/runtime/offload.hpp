@@ -36,9 +36,10 @@ struct SystemConfig {
     bool idealOffload = false;       ///< zero-overhead offloading
     /**
      * Execution backend for this run. Default inherits the compiled
-     * program's preference (which itself defaults to the interpreter);
-     * Interpreter / NativeC force the engine regardless of how the
-     * program was compiled. Backends are bit-identical in outputs and
+     * program's preference (which itself defaults to the native engine,
+     * falling back to the interpreter quietly when no artifact can be
+     * built); Interpreter / NativeC force the engine regardless of how
+     * the program was compiled. Backends are bit-identical in outputs and
      * charged simulated time — this only changes wall-clock speed.
      */
     interp::BackendKind backend = interp::BackendKind::Default;

@@ -69,14 +69,6 @@ struct Session::Impl {
     uint64_t queueAvoidedLocals = 0;
     uint64_t priorsSeededTargets = 0;
 
-    // Native-C backend state: one prepared (lowered + compiled)
-    // artifact per module, reused across the per-offload server
-    // backend rebuilds. Compilation itself is digest-cached process-
-    // wide, so fleet sessions sharing a partition compile once.
-    std::shared_ptr<const codegen::PreparedModule> mobilePrepared;
-    std::shared_ptr<const codegen::PreparedModule> serverPrepared;
-    bool nativeUnavailable = false;
-
     Impl(const compiler::CompiledProgram &program,
          const SystemConfig &config, const FleetHooks &hooks)
         : prog(program), cfg(config), fleet(hooks),
@@ -167,44 +159,36 @@ struct Session::Impl {
                fleet.server->cacheActive();
     }
 
-    /** The backend this session runs: config override, else program
-     *  preference, else the interpreter. */
-    interp::BackendKind
-    effectiveBackend() const
-    {
-        interp::BackendKind kind = cfg.backend;
-        if (kind == interp::BackendKind::Default)
-            kind = prog.backend;
-        if (kind == interp::BackendKind::Default)
-            kind = interp::BackendKind::Interpreter;
-        return kind;
-    }
-
     /**
-     * Construct the execution backend for (machine, module). @p
-     * prepared caches the lowered+compiled artifact per module — the
-     * server backend is rebuilt for every offload (fresh process
-     * semantics) and must not recompile. Falls back to the interpreter
-     * with a warning when no host toolchain is available.
+     * Construct the execution backend for (machine, module), binding
+     * the program-owned artifact in @p slot — the server backend is
+     * rebuilt for every offload (fresh process semantics) and must not
+     * re-lower. When no artifact can be prepared the session runs on
+     * the interpreter: quietly when the native engine was only the
+     * default, with one warning per program carrying the reason when
+     * NativeC was asked for.
      */
     std::unique_ptr<interp::ExecBackend>
     makeBackend(sim::SimMachine &machine, const ir::Module &module,
                 const interp::ProgramImage &image, interp::ExecEnv &env,
-                std::shared_ptr<const codegen::PreparedModule> &prepared)
+                codegen::PreparedSlot &slot)
     {
-        if (effectiveBackend() == interp::BackendKind::NativeC &&
-            !nativeUnavailable) {
-            if (prepared == nullptr) {
-                prepared = codegen::PreparedModule::prepare(
-                    module, interp::effectiveLayout(module, machine));
-            }
+        if (interp::resolveBackend(cfg.backend, prog.backend) ==
+            interp::BackendKind::NativeC) {
+            std::string why;
+            std::shared_ptr<const codegen::PreparedModule> prepared =
+                slot.get(module, interp::effectiveLayout(module, machine),
+                         &why);
             if (prepared != nullptr) {
                 return std::make_unique<codegen::NativeExec>(
                     prepared, machine, module, image, env);
             }
-            nativeUnavailable = true;
-            warn("native-c backend unavailable (no host "
-                          "toolchain); falling back to the interpreter");
+            bool asked = cfg.backend == interp::BackendKind::NativeC ||
+                         prog.backend == interp::BackendKind::NativeC;
+            if (asked && !prog.native->fallbackWarned.exchange(true))
+                warn("native-c backend unavailable (%s); falling back to "
+                     "the interpreter",
+                     why.c_str());
         }
         return std::make_unique<interp::Interp>(machine, module, image,
                                                 env);
@@ -753,7 +737,7 @@ class MobileEnv : public interp::DefaultEnv
         std::unique_ptr<interp::ExecBackend> server_backend =
             ctx_.makeBackend(ctx_.server, *ctx_.prog.partition.serverModule,
                              ctx_.serverImage, server_env,
-                             ctx_.serverPrepared);
+                             ctx_.prog.native->server);
         interp::ExecBackend &server_interp = *server_backend;
         server_interp.setStepLimit(ctx_.cfg.stepLimit);
         server_interp.setIndirectCallExtraCost(ctx_.cfg.fnPtrTranslateCost);
@@ -938,7 +922,7 @@ Session::Impl::run(const RunInput &input)
     MobileEnv env(*this);
     std::unique_ptr<interp::ExecBackend> backend =
         makeBackend(mobile, mobile_module, mobileImage, env,
-                    mobilePrepared);
+                    prog.native->mobile);
     interp::ExecBackend &interp = *backend;
     interp.setStepLimit(cfg.stepLimit);
 
@@ -1006,6 +990,7 @@ Session::Session(const compiler::CompiledProgram &program,
 {
     NOL_ASSERT(program.partition.mobileModule != nullptr,
                "program was not partitioned");
+    NOL_ASSERT(program.native != nullptr, "moved-from compiled program");
 }
 
 Session::Session(const compiler::CompiledProgram &program,
@@ -1014,6 +999,7 @@ Session::Session(const compiler::CompiledProgram &program,
 {
     NOL_ASSERT(program.partition.mobileModule != nullptr,
                "program was not partitioned");
+    NOL_ASSERT(program.native != nullptr, "moved-from compiled program");
     NOL_ASSERT(hooks.loop != nullptr && hooks.medium != nullptr &&
                    hooks.server != nullptr,
                "fleet session without fleet infrastructure");

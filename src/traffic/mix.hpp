@@ -40,8 +40,9 @@ struct BuiltinMix {
  * Compile the three-class mix against @p network (every class shares
  * the link spec; arrival order and churn stay with the trace).
  * @p backend selects the execution engine each session runs on
- * (Default → interpreter); backends are bit-identical in simulated
- * metrics, so this only moves host wall-clock.
+ * (Default → native, see interp::resolveBackend); backends are
+ * bit-identical in simulated metrics, so this only moves host
+ * wall-clock.
  */
 BuiltinMix makeBuiltinMix(const net::NetworkSpec &network,
                           interp::BackendKind backend =
