@@ -45,7 +45,9 @@ compileForOffload(std::unique_ptr<ir::Module> module,
     // 2-3. Filter machine-specific tasks, estimate, select targets.
     {
         ir::CallGraph cg(*module);
-        FilterResult filter = runFunctionFilter(*module, options.filter);
+        FilterResult filter = runFunctionFilter(
+            *module, options.filter,
+            {.fieldSensitive = options.fieldSensitiveAnalysis});
         out.selection = selectTargets(*module, out.profile, filter, cg,
                                       out.estimatorParams);
     }

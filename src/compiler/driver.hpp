@@ -31,9 +31,10 @@ struct CompileOptions {
     FilterConfig filter;
     profile::ProfileInput profilingInput;
     std::string entry = "main";
-    /** Run memory unification and partitioning with the field-
-     *  sensitive points-to solver (default); false selects the legacy
-     *  field-insensitive pipeline, kept as the differential oracle. */
+    /** Run the function filter, memory unification and partitioning
+     *  with the field-sensitive points-to solver (default); false runs
+     *  all three with the field-insensitive one. Each stage solves
+     *  exactly once. */
     bool fieldSensitiveAnalysis = true;
     /** Preferred execution backend for sessions of this program.
      *  Default resolves to the native engine (interpreter when no

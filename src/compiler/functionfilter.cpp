@@ -40,7 +40,8 @@ FilterResult::loopIsMachineSpecific(const ir::Function *fn,
 }
 
 FilterResult
-runFunctionFilter(const ir::Module &module, const FilterConfig &config)
+runFunctionFilter(const ir::Module &module, const FilterConfig &config,
+                  const analysis::PointsToOptions &pts_options)
 {
     analysis::TaintPolicy policy;
     policy.remoteIoEnabled = config.remoteIoEnabled;
@@ -48,7 +49,8 @@ runFunctionFilter(const ir::Module &module, const FilterConfig &config)
     // u_* runtime twins only appear after unification/partitioning.
     policy.allowRuntimeNames = false;
 
-    analysis::PointsToResult pts = analysis::analyzePointsTo(module);
+    analysis::PointsToResult pts =
+        analysis::analyzePointsTo(module, pts_options);
     FilterResult result;
     result.taint_ = analysis::machineSpecificTaint(module, pts, policy);
     result.remote_io_ = analysis::remoteIoUse(module, pts);

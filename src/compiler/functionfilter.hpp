@@ -76,14 +76,17 @@ class FilterResult
 
   private:
     friend FilterResult runFunctionFilter(const ir::Module &,
-                                          const FilterConfig &);
+                                          const FilterConfig &,
+                                          const analysis::PointsToOptions &);
     analysis::AttributeResult taint_;
     analysis::AttributeResult remote_io_;
 };
 
-/** Classify every function of @p module. */
-FilterResult runFunctionFilter(const ir::Module &module,
-                               const FilterConfig &config = {});
+/** Classify every function of @p module, resolving indirect calls
+ *  with one points-to solve in @p pts_options' mode. */
+FilterResult
+runFunctionFilter(const ir::Module &module, const FilterConfig &config = {},
+                  const analysis::PointsToOptions &pts_options = {});
 
 } // namespace nol::compiler
 

@@ -32,9 +32,10 @@ namespace nol::compiler {
 struct UnifyOptions {
     /** Use the field-sensitive points-to solver for the referenced-
      *  global refinement and record per-field UVA marks on struct
-     *  globals (default). False reproduces the legacy field-
-     *  insensitive pipeline exactly — kept as the differential
-     *  oracle. */
+     *  globals (default). False runs the field-insensitive solver
+     *  instead; the unifier solves once either way, and the
+     *  differential oracle compares two whole compiles (nol-verify
+     *  --stats, tests, bench_analysis). */
     bool fieldSensitive = true;
 };
 
@@ -48,15 +49,10 @@ struct UnifyStats {
      *  paper's conservative Sec. 3.2 algorithm) — the baseline the
      *  points-to refinement is measured against in bench_analysis. */
     size_t uvaGlobalsConservative = 0;
-    /** UVA globals the field-insensitive solver would have marked —
-     *  the differential-oracle baseline; the field-sensitive set must
-     *  be a subset of it (equal when fieldSensitive is off). */
-    size_t uvaGlobalsInsensitive = 0;
     /** Static UVA page footprint (loader packing replayed over the
-     *  marked globals), sensitive vs the insensitive baseline. Every
-     *  page shaved here is a page the fleet never prefetches. */
+     *  marked globals). Every page shaved here is a page the fleet
+     *  never prefetches. */
     size_t uvaPages = 0;
-    size_t uvaPagesInsensitive = 0;
     /** Struct globals whose UVA mark was limited to a field subset. */
     size_t uvaFieldLimitedGlobals = 0;
     /** Alloca slots marked for unified-space reallocation (their

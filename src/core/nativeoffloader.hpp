@@ -46,8 +46,8 @@ struct CompileRequest {
      *  the runtime memScale when workloads are scaled. */
     double staticBandwidthMbps = 80.0;
     /** Compile with the field-sensitive points-to solver (default);
-     *  false selects the legacy field-insensitive pipeline — kept as
-     *  the differential oracle for A/B precision studies. */
+     *  false compiles with the field-insensitive one. A compile never
+     *  runs both: A/B precision studies compile twice, once per mode. */
     bool fieldSensitiveAnalysis = true;
     /** Preferred execution backend for sessions of this program
      *  (see interp::resolveBackend: Default runs natively, with a quiet

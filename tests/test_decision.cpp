@@ -1,8 +1,9 @@
 /**
  * @file
  * The layered decision stack (src/decision) in isolation and in fleet
- * integration: the pure Equation 1 model (parity with the compiler's
- * static estimator, the admission queue-wait term), the per-session
+ * integration: the pure Equation 1 model (a literal transcription of
+ * the formula the target selector applies, the admission queue-wait
+ * term), the per-session
  * engine (verdicts, single-probe accounting, provenance records), the
  * fleet-shared priors (EMA aggregation, admission-time seeding), and
  * the two SystemConfig flags end to end — priors eliminating
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "compiler/driver.hpp"
-#include "compiler/estimator.hpp"
 #include "decision/engine.hpp"
 #include "decision/model.hpp"
 #include "decision/priors.hpp"
@@ -69,16 +69,6 @@ TEST(DecisionModel, MatchesEquationOneBitForBit)
         EXPECT_EQ(terms.gain, ideal - comm);
         EXPECT_EQ(terms.queueWaitSeconds, 0.0);
 
-        // And the compiler adapter forwards it verbatim.
-        compiler::EstimatorParams cp;
-        cp.speedRatio = c.ratio;
-        cp.bandwidthMbps = c.mbps;
-        compiler::Estimate est =
-            compiler::estimateGain(c.tm, c.mem, c.invocations, cp);
-        EXPECT_EQ(est.mobileSeconds, terms.mobileSeconds);
-        EXPECT_EQ(est.idealGain, terms.idealGain);
-        EXPECT_EQ(est.commSeconds, terms.commSeconds);
-        EXPECT_EQ(est.gain, terms.gain);
     }
 }
 

@@ -182,9 +182,11 @@ TEST_P(FieldSensitivePrecision, StrictlyShrinksUvaWithIdenticalOutputs)
 
     // Strict shrink of both the UVA global set and its page footprint.
     const auto &stats = sens.compiled().unifyStats;
+    const auto &flat_stats = flat.compiled().unifyStats;
     EXPECT_TRUE(stats.fieldSensitive);
-    EXPECT_LT(stats.uvaGlobals, stats.uvaGlobalsInsensitive) << spec->id;
-    EXPECT_LT(stats.uvaPages, stats.uvaPagesInsensitive) << spec->id;
+    EXPECT_FALSE(flat_stats.fieldSensitive);
+    EXPECT_LT(stats.uvaGlobals, flat_stats.uvaGlobals) << spec->id;
+    EXPECT_LT(stats.uvaPages, flat_stats.uvaPages) << spec->id;
     EXPECT_GE(stats.uvaFieldLimitedGlobals, 1u) << spec->id;
 
     // The device-side trace buffer is the page saved: only reachable
@@ -221,22 +223,34 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FieldSensitiveSweep, UvaSubsetAndIdenticalOutputsOnAllWorkloads)
 {
-    // The differential-oracle contract over the whole suite: the
-    // field-sensitive UVA set is contained in the insensitive one,
-    // target selection is unchanged, and execution is bit-identical.
-    for (const WorkloadSpec &spec : allWorkloads()) {
+    // The differential-oracle contract over the whole suite and chess:
+    // the field-sensitive UVA set and fptr map are contained in the
+    // insensitive ones, the UVA page footprint is no larger, target
+    // selection is unchanged, and execution is bit-identical.
+    std::vector<WorkloadSpec> specs = allWorkloads();
+    specs.push_back(makeChess(3));
+    for (const WorkloadSpec &spec : specs) {
         core::Program sens = compileWorkload(spec, true);
         core::Program flat = compileWorkload(spec, false);
+        const compiler::CompiledProgram &cs = sens.compiled();
+        const compiler::CompiledProgram &cf = flat.compiled();
 
         std::set<std::string> uva_s =
-            uvaGlobalNames(*sens.compiled().partition.mobileModule);
+            uvaGlobalNames(*cs.partition.mobileModule);
         std::set<std::string> uva_f =
-            uvaGlobalNames(*flat.compiled().partition.mobileModule);
+            uvaGlobalNames(*cf.partition.mobileModule);
         for (const std::string &name : uva_s)
             EXPECT_TRUE(uva_f.count(name))
                 << spec.id << ": " << name
                 << " in the field-sensitive UVA set but not the "
                 << "insensitive oracle's";
+        for (const std::string &name : cs.partition.fptrMap)
+            EXPECT_TRUE(cf.partition.fptrMap.count(name))
+                << spec.id << ": " << name
+                << " in the field-sensitive fptr map but not the "
+                << "insensitive oracle's";
+        EXPECT_LE(cs.unifyStats.uvaPages, cf.unifyStats.uvaPages)
+            << spec.id;
         EXPECT_EQ(sens.targets(), flat.targets()) << spec.id;
 
         // Bit-identical run (profiling-sized input keeps this fast).

@@ -15,9 +15,11 @@
  *                          must drive every broken pair to 0
  *                          diagnostics within the iteration cap
  *   nol-verify --stats     JSON points-to / UVA precision report per
- *                          workload (field-sensitive vs the insensitive
- *                          oracle); fails if the sensitive UVA global
- *                          set is not a subset of the insensitive one
+ *                          workload (field-sensitive compile vs a
+ *                          field-insensitive one); fails if the
+ *                          sensitive UVA global set or fptr map is not
+ *                          a subset of the insensitive one, or if it
+ *                          needs more UVA pages
  *   nol-verify --backend   backend smoke: verify each workload, then
  *                          run it under both execution backends
  *                          (interpreter and native-C) and compare the
@@ -25,6 +27,7 @@
  *                          divergence or if no host toolchain exists
  *   -v                     print warnings/notes too, plus shrink stats
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -147,12 +150,22 @@ printPointsToStatsJson(const nol::analysis::PointsToStats &s)
                 s.totalEdges, s.maxSetSize, s.iterations);
 }
 
+/** True when every name in @p sub is also in @p super. */
+bool
+isSubset(const std::set<std::string> &sub,
+         const std::set<std::string> &super)
+{
+    return std::includes(super.begin(), super.end(), sub.begin(),
+                         sub.end());
+}
+
 /**
- * Compile @p spec twice (field-sensitive and the insensitive oracle),
- * emit one JSON object of precision stats, and check the subset
- * property the differential oracle guarantees: every UVA global the
- * sensitive analysis marks must also be marked by the insensitive one.
- * Returns 0 on success, 1 on a subset violation.
+ * Compile @p spec twice (field-sensitive and the field-insensitive
+ * oracle), emit one JSON object of precision stats, and check what the
+ * differential oracle guarantees: every UVA global and every fptr-map
+ * entry of the sensitive compile is also in the insensitive one, and
+ * the sensitive UVA page footprint is no larger. Returns 0 on success,
+ * 1 on a violation.
  */
 int
 statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
@@ -168,14 +181,12 @@ statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
 
     const auto &unify = sensitive.compiled().unifyStats;
     const auto &partition = sensitive.compiled().partition;
-    std::set<std::string> uva_sensitive =
-        uvaGlobalNames(*partition.mobileModule);
-    std::set<std::string> uva_insensitive =
-        uvaGlobalNames(*insensitive.compiled().partition.mobileModule);
-    bool subset = true;
-    for (const std::string &name : uva_sensitive)
-        if (uva_insensitive.count(name) == 0)
-            subset = false;
+    const auto &flat_unify = insensitive.compiled().unifyStats;
+    const auto &flat_partition = insensitive.compiled().partition;
+    bool subset = isSubset(uvaGlobalNames(*partition.mobileModule),
+                           uvaGlobalNames(*flat_partition.mobileModule));
+    bool fptr_subset = isSubset(partition.fptrMap, flat_partition.fptrMap);
+    bool pages_le = unify.uvaPages <= flat_unify.uvaPages;
 
     nol::analysis::PointsToStats pts_sensitive =
         nol::analysis::analyzePointsTo(*partition.serverModule,
@@ -196,18 +207,28 @@ statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
                 "\"pagesInsensitive\": %zu, "
                 "\"fieldLimitedGlobals\": %zu, "
                 "\"subsetOfInsensitive\": %s},\n",
-                unify.uvaGlobals, unify.uvaGlobalsInsensitive,
-                unify.uvaPages, unify.uvaPagesInsensitive,
-                unify.uvaFieldLimitedGlobals, subset ? "true" : "false");
+                unify.uvaGlobals, flat_unify.uvaGlobals, unify.uvaPages,
+                flat_unify.uvaPages, unify.uvaFieldLimitedGlobals,
+                subset ? "true" : "false");
     std::printf("   \"fptrMap\": %zu, \"fptrMapInsensitive\": %zu}%s\n",
-                partition.fptrMap.size(), partition.fptrMapInsensitive,
+                partition.fptrMap.size(), flat_partition.fptrMap.size(),
                 last ? "" : ",");
     if (!subset)
         std::fprintf(stderr,
                      "%s: field-sensitive UVA set is NOT a subset of "
                      "the insensitive oracle\n",
                      spec.id.c_str());
-    return subset ? 0 : 1;
+    if (!fptr_subset)
+        std::fprintf(stderr,
+                     "%s: field-sensitive fptr map is NOT a subset of "
+                     "the insensitive oracle\n",
+                     spec.id.c_str());
+    if (!pages_le)
+        std::fprintf(stderr,
+                     "%s: field-sensitive UVA pages %zu exceed the "
+                     "insensitive oracle's %zu\n",
+                     spec.id.c_str(), unify.uvaPages, flat_unify.uvaPages);
+    return subset && fptr_subset && pages_le ? 0 : 1;
 }
 
 /**
@@ -336,7 +357,7 @@ main(int argc, char **argv)
         if (failures != 0) {
             std::fprintf(stderr,
                          "nol-verify: %d of %zu workloads violated the "
-                         "subset property\n",
+                         "field-sensitivity oracle\n",
                          failures, specs.size());
             return 1;
         }
